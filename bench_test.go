@@ -32,7 +32,6 @@ import (
 	"infera/internal/hacc"
 	"infera/internal/llm"
 	"infera/internal/rag"
-	"infera/internal/script"
 	"infera/internal/service"
 	"infera/internal/sqldb"
 	"infera/internal/stage"
@@ -1253,108 +1252,4 @@ func BenchmarkTieredRestart(b *testing.B) {
 	b.ReportMetric(float64(warmNS)/float64(b.N)/1e6, "warm-ms")
 	b.ReportMetric(speedup, "restart-speedup")
 	b.ReportMetric(float64(promoted), "promoted-bytes")
-}
-
-// BenchmarkVMExec measures the bytecode VM against the tree-walk reference
-// on a dispatch-heavy analysis script: many statements of filters, derives,
-// list literals and aggregations over a staged table, the shape the QA
-// repair loop re-executes repeatedly. Both backends run fresh environments
-// per pass and must produce identical results and fuel; the VM must stay
-// within 10% of the tree-walk (it is expected to win — the budget
-// accounting it shares with the tree-walk is the overhead under test).
-func BenchmarkVMExec(b *testing.B) {
-	// A ~160-statement script: one staged load, then repeated rounds of
-	// filter/derive/sort/head/groupby plus list-literal churn.
-	var sb strings.Builder
-	sb.WriteString(`t = load_table("work")` + "\n")
-	for i := 0; i < 20; i++ {
-		fmt.Fprintf(&sb, "l%d = [%d, %d.5, \"s%d\", true, [%d, %d]]\n", i, i, i, i, i, i+1)
-		fmt.Fprintf(&sb, "f%d = filter_gt(t, \"x\", %d)\n", i, i%5)
-		fmt.Fprintf(&sb, "d%d = derive_scale(f%d, \"y%d\", \"y\", 2.5)\n", i, i, i)
-		fmt.Fprintf(&sb, "h%d = head(sort(d%d, \"y%d\", true), 5)\n", i, i, i)
-		fmt.Fprintf(&sb, "g%d = groupby(d%d, [\"name\"], \"y%d\", \"mean\", \"m\")\n", i, i, i)
-		fmt.Fprintf(&sb, "n%d = nrows(h%d)\n", i, i)
-		fmt.Fprintf(&sb, "c%d = concat(h%d, h%d)\n", i, i, i)
-		fmt.Fprintf(&sb, "s%d = select(c%d, [\"x\", \"y\"])\n", i, i)
-	}
-	sb.WriteString("result(g19)\n")
-	src := sb.String()
-
-	// Work table: large enough that builtins do real work, small enough
-	// that interpreter dispatch stays visible.
-	dir := b.TempDir()
-	var csv strings.Builder
-	csv.WriteString("x,y,name\n")
-	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < 2000; i++ {
-		fmt.Fprintf(&csv, "%d,%.4f,n%d\n", i%10, rng.NormFloat64()*10, i%7)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "work.csv"), []byte(csv.String()), 0o644); err != nil {
-		b.Fatal(err)
-	}
-
-	reg := script.DefaultRegistry()
-	prog, err := script.Parse(src)
-	if err != nil {
-		b.Fatal(err)
-	}
-	comp, err := script.Compile(src)
-	if err != nil {
-		b.Fatal(err)
-	}
-	runTW := func() *script.Env {
-		env := script.NewEnv(reg, dir)
-		if err := prog.Run(env); err != nil {
-			b.Fatal(err)
-		}
-		return env
-	}
-	runVM := func() *script.Env {
-		env := script.NewEnv(reg, dir)
-		if err := comp.Run(env); err != nil {
-			b.Fatal(err)
-		}
-		return env
-	}
-
-	// Parity gate before timing anything.
-	twEnv, vmEnv := runTW(), runVM()
-	if twEnv.FuelUsed != vmEnv.FuelUsed {
-		b.Fatalf("fuel divergence: treewalk=%d vm=%d", twEnv.FuelUsed, vmEnv.FuelUsed)
-	}
-	if twEnv.Result == nil || vmEnv.Result == nil || twEnv.Result.String() != vmEnv.Result.String() {
-		b.Fatal("result divergence between backends")
-	}
-
-	// Best-of-N on both sides to shed scheduler noise.
-	const iters = 5
-	twNS, vmNS := math.Inf(1), math.Inf(1)
-	for i := 0; i < iters; i++ {
-		start := time.Now()
-		runTW()
-		if d := float64(time.Since(start).Nanoseconds()); d < twNS {
-			twNS = d
-		}
-		start = time.Now()
-		runVM()
-		if d := float64(time.Since(start).Nanoseconds()); d < vmNS {
-			vmNS = d
-		}
-	}
-
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		runVM()
-	}
-	b.StopTimer()
-
-	ratio := vmNS / twNS
-	if ratio > 1.10 {
-		b.Fatalf("VM is %.2fx the tree-walk (treewalk %.2fms, vm %.2fms), above the 1.10x ceiling",
-			ratio, twNS/1e6, vmNS/1e6)
-	}
-	b.ReportMetric(twNS/1e6, "treewalk-ms")
-	b.ReportMetric(vmNS/1e6, "vm-ms")
-	b.ReportMetric(ratio, "vm/treewalk-ratio")
-	b.ReportMetric(float64(twEnv.FuelUsed), "fuel/script")
 }

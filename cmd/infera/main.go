@@ -243,8 +243,8 @@ func printResult(res *service.AskResult) {
 
 // runService starts the same daemon as cmd/inferad with REPL-flavored
 // defaults, so a single binary covers both interactive and serving use:
-// one "default" shard in a registry, reachable both through the
-// /v1/ensembles API and the legacy flat routes. Further ensembles can be
+// one "default" shard in a registry, reachable through the /v1/ensembles
+// API (/v1/ensembles/default/...). Further ensembles can be
 // registered at runtime with POST /v1/ensembles.
 func runService(ensemble, work, addr string, seed int64, sandboxServer, keepDBs bool, limits sandbox.Limits) {
 	reg := service.NewRegistry(service.RegistryConfig{

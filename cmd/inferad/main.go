@@ -31,9 +31,8 @@
 // shutdown), sparing sessions the persisted answer cache still references.
 //
 // -ensemble repeats: a bare DIR names the shard "default"; name=DIR
-// registers further shards. The first flag becomes the default shard that
-// the legacy flat routes serve. More ensembles can be registered at
-// runtime with POST /v1/ensembles.
+// registers further shards. More ensembles can be registered at runtime
+// with POST /v1/ensembles.
 //
 // # Serving
 //
@@ -80,15 +79,6 @@
 //	curl -s localhost:8080/v1/ensembles/cosmo-a/metrics                # one shard's counters
 //	curl -s localhost:8080/v1/metrics                                  # aggregate fleet counters
 //	curl -s localhost:8080/healthz                                     # liveness
-//
-// # Legacy routes (deprecated)
-//
-// The pre-registry flat API — POST /ask, GET /sessions[/{id}[/provenance]]
-// and GET /metrics — still answers, aliased onto the default shard, so
-// existing clients keep working. Those routes return a "Deprecation: true"
-// header with a Link to the /v1 successor and will be removed once nothing
-// depends on them; new integrations should use /v1/ensembles/{eid}/... (or
-// the typed internal/client package).
 //
 // Concurrency model: per shard, -workers assistants each own isolated
 // staging databases and provenance stores, so N questions run in parallel

@@ -8,11 +8,13 @@
 // Server/Client speak the same contract over HTTP on 127.0.0.1 (the
 // ASGI-gateway analog of the paper's Uvicorn/FastAPI server).
 //
-// Execution is budgeted: Limits caps instructions (fuel), tracked
-// allocation, wall clock, artifact bytes and stdout lines, and a recover()
-// barrier converts any interpreter or builtin panic into a Python-like
-// Result.Error — one pathological generated script degrades into a repair
-// hint instead of taking down the shard.
+// Code runs on the script package's interpreter (script.Parse, then
+// Program.Run). Execution is budgeted: Limits caps fuel (one unit per AST
+// node plus each builtin's row cost), tracked allocation, wall clock,
+// artifact bytes and stdout lines, and a recover() barrier converts any
+// interpreter or builtin panic into a Python-like Result.Error — one
+// pathological generated script degrades into a repair hint instead of
+// taking down the shard.
 package sandbox
 
 import (
@@ -35,7 +37,7 @@ type Result struct {
 	Frame     *dataframe.Frame  // the frame passed to result(), may be nil
 	Artifacts map[string][]byte // plots, CSVs and scenes produced by the code
 	Stdout    []string
-	FuelUsed  int64 // instruction budget consumed (backend-independent)
+	FuelUsed  int64 // instruction budget consumed (deterministic per script)
 }
 
 // Limits bounds one sandboxed execution. Zero-valued fields are
@@ -62,16 +64,6 @@ func DefaultLimits() Limits {
 	}
 }
 
-// Script execution backends.
-const (
-	// BackendVM compiles to bytecode and runs the stack-machine dispatch
-	// loop — the production default.
-	BackendVM = "vm"
-	// BackendTreeWalk runs the reference tree-walk interpreter, kept for
-	// differential testing and as an escape hatch.
-	BackendTreeWalk = "treewalk"
-)
-
 // Executor runs scripts against temporary copies of input tables.
 type Executor struct {
 	// Registry is the function set available to executed code. Defaults to
@@ -82,9 +74,6 @@ type Executor struct {
 	BaseDir string
 	// Limits bounds each execution; the zero value runs unrestricted.
 	Limits Limits
-	// Backend selects the script engine: BackendVM (default when empty)
-	// or BackendTreeWalk.
-	Backend string
 	// Metrics, when non-nil, receives infera_script_fuel_used and
 	// infera_script_budget_exceeded_total{kind} with MetricLabels attached.
 	Metrics      *telemetry.Registry
@@ -129,9 +118,9 @@ func (e *Executor) Exec(code string, tables map[string]*dataframe.Frame) (res Re
 		env.Budgets.Deadline = time.Now().Add(e.Limits.MaxWall)
 	}
 
-	// The recover barrier: a crasher in the parser, the VM, or a builtin
-	// becomes a structured error the QA repair loop can consume, with
-	// whatever artifacts/stdout/fuel accrued before the crash preserved.
+	// The recover barrier: a crasher in the parser, the interpreter, or a
+	// builtin becomes a structured error the QA repair loop can consume,
+	// with whatever artifacts/stdout/fuel accrued before the crash preserved.
 	defer func() {
 		if r := recover(); r != nil {
 			res = Result{
@@ -144,11 +133,11 @@ func (e *Executor) Exec(code string, tables map[string]*dataframe.Frame) (res Re
 		}
 	}()
 
-	backend, err := e.compile(code)
+	prog, err := script.Parse(code)
 	if err != nil {
 		return Result{Error: err.Error(), Stdout: env.Stdout}
 	}
-	if err := backend.Run(env); err != nil {
+	if err := prog.Run(env); err != nil {
 		e.observe(env.FuelUsed, err)
 		return Result{
 			Error:     err.Error(),
@@ -165,14 +154,6 @@ func (e *Executor) Exec(code string, tables map[string]*dataframe.Frame) (res Re
 		Stdout:    env.Stdout,
 		FuelUsed:  env.FuelUsed,
 	}
-}
-
-// compile parses code for the configured backend.
-func (e *Executor) compile(code string) (script.Backend, error) {
-	if e.Backend == BackendTreeWalk {
-		return script.Parse(code)
-	}
-	return script.Compile(code)
 }
 
 // observe records fuel spend and budget-exhaustion kind on the metrics

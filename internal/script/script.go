@@ -119,8 +119,8 @@ type Env struct {
 
 	// Budgets bounds the execution; the zero value runs unrestricted.
 	Budgets Budgets
-	// FuelUsed is the instruction budget consumed so far — identical for a
-	// given script across both backends, so it doubles as the per-ask CPU
+	// FuelUsed is the instruction budget consumed so far — deterministic
+	// for a given script and inputs, so it doubles as the per-ask CPU
 	// accounting unit stamped onto step_finished events.
 	FuelUsed int64
 	// MemUsed is the cumulative tracked allocation (see Budgets.MaxMemBytes).
@@ -389,10 +389,9 @@ func (p *lineParser) expr() (node, error) {
 	return nil, p.errf("SyntaxError: unexpected token %q", t.text)
 }
 
-// Run executes the program in env with the tree-walk interpreter — the
-// reference backend the bytecode VM (Compile) is differentially tested
-// against. Execution stops at the first error. Both backends charge
-// env.Budgets identically.
+// Run executes the program in env by walking its AST, charging
+// env.Budgets one fuel unit per node plus each builtin's row cost.
+// Execution stops at the first error.
 func (p *Program) Run(env *Env) error {
 	for _, st := range p.stmts {
 		v, err := evalNode(st.ex, env, st.line, 0)

@@ -248,3 +248,18 @@ func TestSourceRoundTrip(t *testing.T) {
 		t.Error("Source() mismatch")
 	}
 }
+
+// TestParserDepthBound locks in the recursion guard: a pathological
+// one-liner fails with a SyntaxError instead of a stack overflow.
+func TestParserDepthBound(t *testing.T) {
+	deep := "x = " + strings.Repeat("[", 100_000)
+	_, err := Parse(deep)
+	if err == nil || !strings.Contains(err.Error(), "too deeply nested") {
+		t.Fatalf("err = %v, want nesting SyntaxError", err)
+	}
+	// A legal nesting below the bound still parses.
+	ok := "x = " + strings.Repeat("[", 50) + "1" + strings.Repeat("]", 50)
+	if _, err := Parse(ok); err != nil {
+		t.Fatalf("depth-50 literal rejected: %v", err)
+	}
+}

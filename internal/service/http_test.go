@@ -13,8 +13,7 @@ import (
 )
 
 // startServer serves one "default" shard built from cfg through a registry,
-// mirroring the pre-registry single-ensemble daemon (the legacy routes
-// alias onto it).
+// mirroring a single-ensemble daemon.
 func startServer(t *testing.T, cfg Config) (*Server, string) {
 	t.Helper()
 	if cfg.EnsembleDir == "" {
@@ -41,10 +40,14 @@ func startServer(t *testing.T, cfg Config) (*Server, string) {
 	return srv, "http://" + srv.Addr()
 }
 
+// defaultShard is the /v1 resource prefix of startServer's one shard.
+const defaultShard = "/v1/ensembles/default"
+
+// postAsk asks startServer's shard a question.
 func postAsk(t *testing.T, base string, req AskRequest) (*AskResult, int) {
 	t.Helper()
 	body, _ := json.Marshal(req)
-	resp, err := http.Post(base+"/ask", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(base+defaultShard+"/ask", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,45 +99,45 @@ func TestHTTPAskSessionsProvenanceMetrics(t *testing.T) {
 	}
 
 	var sessions []SessionInfo
-	if code := getJSON(t, base+"/sessions", &sessions); code != http.StatusOK || len(sessions) != 2 {
+	if code := getJSON(t, base+defaultShard+"/sessions", &sessions); code != http.StatusOK || len(sessions) != 2 {
 		t.Fatalf("sessions: %d %v", code, sessions)
 	}
 
 	var one SessionInfo
-	if code := getJSON(t, base+"/sessions/"+res.RequestID, &one); code != http.StatusOK || one.Status != "done" {
+	if code := getJSON(t, base+defaultShard+"/sessions/"+res.RequestID, &one); code != http.StatusOK || one.Status != "done" {
 		t.Fatalf("session: %d %+v", code, one)
 	}
 
 	var entries []provenance.Entry
-	if code := getJSON(t, base+"/sessions/"+res.RequestID+"/provenance", &entries); code != http.StatusOK || len(entries) == 0 {
+	if code := getJSON(t, base+defaultShard+"/sessions/"+res.RequestID+"/provenance", &entries); code != http.StatusOK || len(entries) == 0 {
 		t.Fatalf("provenance: %d %d entries", code, len(entries))
 	}
 	// The cached record resolves to the same trail.
 	var viaCache []provenance.Entry
-	if code := getJSON(t, base+"/sessions/"+res2.RequestID+"/provenance", &viaCache); code != http.StatusOK || len(viaCache) != len(entries) {
+	if code := getJSON(t, base+defaultShard+"/sessions/"+res2.RequestID+"/provenance", &viaCache); code != http.StatusOK || len(viaCache) != len(entries) {
 		t.Fatalf("cached provenance: %d %d vs %d", code, len(viaCache), len(entries))
 	}
 
 	var m Metrics
-	if code := getJSON(t, base+"/metrics", &m); code != http.StatusOK {
+	if code := getJSON(t, base+defaultShard+"/metrics", &m); code != http.StatusOK {
 		t.Fatalf("metrics: %d", code)
 	}
 	if m.Completed != 1 || m.CachedTotal != 1 || m.Cache.Hits != 1 || m.Fingerprint == "" {
 		t.Errorf("metrics = %+v", m)
 	}
-	// The staging cache is surfaced on /metrics: budget configured and the
-	// ask's snapshot decodes accounted for.
+	// The staging cache is surfaced on the shard metrics: budget configured
+	// and the ask's snapshot decodes accounted for.
 	if m.Stage.BudgetBytes <= 0 || m.Stage.Opens == 0 {
 		t.Errorf("stage metrics = %+v", m.Stage)
 	}
 
 	// Unknown session -> 404.
 	var dummy SessionInfo
-	if code := getJSON(t, base+"/sessions/q-9999", &dummy); code != http.StatusNotFound {
+	if code := getJSON(t, base+defaultShard+"/sessions/q-9999", &dummy); code != http.StatusNotFound {
 		t.Errorf("unknown session code = %d", code)
 	}
 	// Bad body -> 400.
-	badResp, err := http.Post(base+"/ask", "application/json", bytes.NewReader([]byte("{")))
+	badResp, err := http.Post(base+defaultShard+"/ask", "application/json", bytes.NewReader([]byte("{")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +146,7 @@ func TestHTTPAskSessionsProvenanceMetrics(t *testing.T) {
 		t.Errorf("bad body code = %d", badResp.StatusCode)
 	}
 	// Empty question -> 400 (validation, not a server error).
-	emptyResp, err := http.Post(base+"/ask", "application/json", bytes.NewReader([]byte("{}")))
+	emptyResp, err := http.Post(base+defaultShard+"/ask", "application/json", bytes.NewReader([]byte("{}")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,23 +158,13 @@ func TestHTTPAskSessionsProvenanceMetrics(t *testing.T) {
 	// condition the client can act on, distinct from malformed JSON.
 	huge := append([]byte(`{"question": "`), bytes.Repeat([]byte("x"), maxAskBody+1024)...)
 	huge = append(huge, []byte(`"}`)...)
-	hugeResp, err := http.Post(base+"/ask", "application/json", bytes.NewReader(huge))
+	hugeResp, err := http.Post(base+defaultShard+"/ask", "application/json", bytes.NewReader(huge))
 	if err != nil {
 		t.Fatal(err)
 	}
 	hugeResp.Body.Close()
 	if hugeResp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Errorf("oversized body code = %d, want 413", hugeResp.StatusCode)
-	}
-
-	// Legacy routes answer but advertise their deprecation and successor.
-	depResp, err := http.Get(base + "/sessions")
-	if err != nil {
-		t.Fatal(err)
-	}
-	depResp.Body.Close()
-	if depResp.Header.Get("Deprecation") != "true" || depResp.Header.Get("Link") == "" {
-		t.Errorf("legacy route headers = %v", depResp.Header)
 	}
 }
 
@@ -289,7 +282,7 @@ func TestHTTPV1EnsembleResources(t *testing.T) {
 	}
 }
 
-// TestHTTPConcurrentAsks is the acceptance check: >= 8 concurrent POST /ask
+// TestHTTPConcurrentAsks is the acceptance check: >= 8 concurrent asks
 // against one daemon, per-session provenance intact.
 func TestHTTPConcurrentAsks(t *testing.T) {
 	srv, base := startServer(t, Config{Workers: 4, QueueDepth: 32})
@@ -326,7 +319,7 @@ func TestHTTPConcurrentAsks(t *testing.T) {
 		}
 		seen[results[i].SessionID] = true
 		var entries []provenance.Entry
-		if code := getJSON(t, fmt.Sprintf("%s/sessions/%s/provenance", base, results[i].RequestID), &entries); code != http.StatusOK || len(entries) == 0 {
+		if code := getJSON(t, fmt.Sprintf("%s%s/sessions/%s/provenance", base, defaultShard, results[i].RequestID), &entries); code != http.StatusOK || len(entries) == 0 {
 			t.Fatalf("ask %d provenance: %d with %d entries", i, code, len(entries))
 		}
 		if bad, err := srv.reg.VerifySession("default", results[i].RequestID); err != nil || len(bad) != 0 {

@@ -31,12 +31,11 @@ type Registry struct {
 	cfg      RegistryConfig
 	workRoot string
 
-	mu          sync.Mutex
-	closed      bool
-	shards      map[string]*shard
-	defaultName string
-	opens       int64
-	evictions   int64
+	mu        sync.Mutex
+	closed    bool
+	shards    map[string]*shard
+	opens     int64
+	evictions int64
 	// retired accumulates the final counters of every closed shard
 	// incarnation, so aggregate metrics survive eviction/revival cycles.
 	retired ShardTotals
@@ -138,7 +137,6 @@ type ShardInfo struct {
 	// State is "live" (assistant pool open) or "cold" (registered; spins up
 	// on the next ask).
 	State      string    `json:"state"`
-	Default    bool      `json:"default,omitempty"`
 	Registered time.Time `json:"registered"`
 	LastUsed   time.Time `json:"last_used"`
 	// Opens counts spin-ups: 0 = never asked, >1 = revived after eviction.
@@ -309,9 +307,7 @@ func (r *Registry) Register(name, dir string) (ShardInfo, error) {
 // directory must hold a loadable ensemble catalog. Registering the same
 // name+dir again is idempotent and updates the stored overrides — they
 // apply at the shard's next spin-up, not retroactively to a live pool; the
-// same name with a different dir fails with ErrEnsembleExists. The first
-// registered shard becomes the default target of the legacy (unversioned)
-// HTTP routes.
+// same name with a different dir fails with ErrEnsembleExists.
 func (r *Registry) RegisterWith(name, dir string, opts ShardOptions) (ShardInfo, error) {
 	if !ValidEnsembleName(name) {
 		return ShardInfo{}, ErrBadEnsembleName
@@ -359,9 +355,6 @@ func (r *Registry) RegisterWith(name, dir string, opts ShardOptions) (ShardInfo,
 		sh.lastFP, sh.lastFPAt = fi.Fingerprint, fi.SavedAt
 	}
 	r.shards[name] = sh
-	if r.defaultName == "" {
-		r.defaultName = name
-	}
 	r.logf("registry: registered ensemble %q -> %s", name, abs)
 	return r.infoLocked(sh), nil
 }
@@ -385,14 +378,6 @@ func (r *Registry) shardWorkDirLocked(name string) (string, error) {
 		return "", err
 	}
 	return dir, nil
-}
-
-// DefaultShard returns the shard name legacy routes resolve to ("" before
-// any Register).
-func (r *Registry) DefaultShard() string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.defaultName
 }
 
 // Ensembles lists every registered shard, sorted by name.
@@ -450,7 +435,6 @@ func (r *Registry) infoLocked(sh *shard) ShardInfo {
 		Name:       sh.name,
 		Dir:        sh.dir,
 		State:      "cold",
-		Default:    sh.name == r.defaultName,
 		Registered: sh.registered,
 		LastUsed:   sh.lastUsed,
 		Opens:      sh.opens,
@@ -810,16 +794,6 @@ func (r *Registry) Unregister(name string, purge bool) error {
 			continue // re-check: a racing ask may have reopened it
 		}
 		delete(r.shards, name)
-		if r.defaultName == name {
-			// Promote the lexicographically-first remaining shard so the
-			// legacy flat routes keep a target.
-			r.defaultName = ""
-			for n := range r.shards {
-				if r.defaultName == "" || n < r.defaultName {
-					r.defaultName = n
-				}
-			}
-		}
 		// Purge under the lock: a re-Register of the same name recreates the
 		// same work directory, and an async RemoveAll would race it and
 		// delete the new shard's state. The dir is small (provenance trails

@@ -72,9 +72,6 @@ type Config struct {
 	// Assistant. The zero value runs unrestricted; the daemons default it
 	// to sandbox.DefaultLimits via the -script-* flags.
 	ScriptLimits sandbox.Limits
-	// ScriptBackend selects the script engine (sandbox.BackendVM when
-	// empty, or sandbox.BackendTreeWalk as the reference escape hatch).
-	ScriptBackend string
 	// Stage is the staging cache the assistant pool shares, so concurrent
 	// sessions staging overlapping (sim, step) slices decode each source
 	// file once. Nil uses the process-wide stage.Shared() cache; set an
@@ -363,7 +360,6 @@ func New(cfg Config) (*Service, error) {
 			MaxRevisions:      cfg.MaxRevisions,
 			UseServer:         cfg.UseServer,
 			ScriptLimits:      cfg.ScriptLimits,
-			ScriptBackend:     cfg.ScriptBackend,
 			Stage:             cfg.Stage,
 			// Kept staging DBs must survive on disk, so only then does the
 			// session DB pay eager persistence; the default reclaim path
@@ -698,9 +694,10 @@ func (s *Service) worker(idx int, a *core.Assistant) {
 		s.mu.Unlock()
 		if t.ia != nil {
 			// Store-then-close ordering: a reader that drains the stream to
-			// its close is guaranteed to find the result.
-			t.ia.events.Close()
+			// its close is guaranteed to find the result, so done (which
+			// Result checks) must close before the event log does.
 			close(t.ia.done)
+			t.ia.events.Close()
 			// Interactive asks resolve here, not in a blocked Ask call, so
 			// their latency is recorded by the worker that finished them.
 			s.observeAsk("miss", "interactive", res.Elapsed)
