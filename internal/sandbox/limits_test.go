@@ -71,7 +71,9 @@ func TestExecutorBudgetExhaustion(t *testing.T) {
 		},
 	}
 	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
+		// Each subtest is named after the engine it runs on, the tree-walk
+		// interpreter, the sandbox's only script engine.
+		t.Run(tc.name+"/treewalk", func(t *testing.T) {
 			res := limitedExec(t, tc.lim, tc.code)
 			if res.OK {
 				t.Fatalf("expected budget error, got OK result")
